@@ -35,10 +35,13 @@ soak:
 	$(GO) test ./internal/expt -run 'TestGolden/soak' -count=1
 	$(GO) test ./internal/faults ./internal/intermittent -count=1
 
-# Zero-alloc guard for the simulator hot loop (testing.AllocsPerRun needs a
-# non-race build, so this runs alongside `race` rather than inside it).
+# Allocation guards (testing.AllocsPerRun needs a non-race build, so these
+# run alongside `race` rather than inside it): zero allocations in the
+# simulator hot loop, and a small fixed bound with no trace-sized buffer on
+# a warm /v1/vsafe cache hit.
 alloc:
 	$(GO) test ./internal/powersys -run 'AllocFree' -count=1
+	$(GO) test ./internal/serve -run 'TestVSafeHitAllocBound' -count=1
 
 # The batch-stepping wall: scalar/batch equivalence (bitwise on the exact
 # path), the fuzz corpus seeds, chunked-sweep contracts and the serving

@@ -49,8 +49,9 @@ import (
 // Defaults for Options' zero values.
 const (
 	DefaultSegmentBytes = 4 << 20
-	// maxFrameBytes bounds one frame; a scanned length beyond it is
-	// corruption, not a huge record (the session tier's records are KBs).
+	// maxFrameBytes bounds one frame's payload; a scanned length beyond it
+	// is corruption, not a huge record (the session tier's records are
+	// KBs). The writer refuses what the reader would reject (frameLenOK).
 	maxFrameBytes = 64 << 20
 	// frameHeader is the [u32 length][u32 crc] prefix.
 	frameHeader = 8
@@ -58,6 +59,16 @@ const (
 
 // ErrClosed reports an operation on a closed (or poisoned) journal.
 var ErrClosed = errors.New("journal: closed")
+
+// ErrPayloadSize reports a record or snapshot refused at enqueue because
+// recovery could not read its frame back: empty, or over the 64 MiB frame
+// bound. Nothing is written and the journal stays usable — for a snapshot,
+// the segments it would have compacted away are kept.
+var ErrPayloadSize = errors.New("journal: payload size outside the frame bound")
+
+// frameLenOK is the one bound both sides of the format share: the writer
+// enqueues only payloads whose frames the reader accepts.
+func frameLenOK(n int64) bool { return n > 0 && n <= maxFrameBytes }
 
 // Options configures Open.
 type Options struct {
@@ -355,7 +366,7 @@ func scanSegment(path string) (frames [][]byte, validBytes, total int64, err err
 	for off+frameHeader <= total {
 		n := int64(binary.LittleEndian.Uint32(data[off : off+4]))
 		crc := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if n == 0 || n > maxFrameBytes || off+frameHeader+n > total {
+		if !frameLenOK(n) || off+frameHeader+n > total {
 			break // bogus length or torn tail
 		}
 		payload := data[off+frameHeader : off+frameHeader+n]
@@ -376,7 +387,7 @@ func readSnapshotFile(path string) ([]byte, bool) {
 	}
 	n := int64(binary.LittleEndian.Uint32(data[0:4]))
 	crc := binary.LittleEndian.Uint32(data[4:8])
-	if n == 0 || n > maxFrameBytes || frameHeader+n != int64(len(data)) {
+	if !frameLenOK(n) || frameHeader+n != int64(len(data)) {
 		return nil, false
 	}
 	payload := data[frameHeader:]
@@ -388,7 +399,9 @@ func readSnapshotFile(path string) ([]byte, bool) {
 
 // Append enqueues one record. The returned ticket resolves once the record
 // is durable (group-committed with its batch). Append itself never blocks
-// on I/O — callers may enqueue under their own locks and Wait outside.
+// on I/O — callers may enqueue under their own locks and Wait outside. A
+// payload recovery could not read back (empty, or over the frame bound)
+// fails its ticket at once with ErrPayloadSize.
 func (j *Journal) Append(payload []byte) *Ticket {
 	return j.enqueue(payload, false)
 }
@@ -397,12 +410,20 @@ func (j *Journal) Append(payload []byte) *Ticket {
 // order is its consistency contract: records enqueued before it are
 // compacted away, records enqueued after it survive into the new segment —
 // so a caller that captures its state and enqueues the snapshot under the
-// same locks that order its Appends gets a perfect partition.
+// same locks that order its Appends gets a perfect partition. An image
+// over the frame bound fails with ErrPayloadSize before any rotation or
+// compaction: the journal keeps its segments and stays writable.
 func (j *Journal) Snapshot(payload []byte) *Ticket {
 	return j.enqueue(payload, true)
 }
 
 func (j *Journal) enqueue(payload []byte, snapshot bool) *Ticket {
+	if !frameLenOK(int64(len(payload))) {
+		// Refused before it reaches the writer: a snapshot the reader
+		// would reject must not rotate and compact away the segments that
+		// still hold the state it was meant to replace.
+		return Failed(fmt.Errorf("%w: %d bytes", ErrPayloadSize, len(payload)))
+	}
 	tk := &Ticket{done: make(chan error, 1)}
 	j.mu.Lock()
 	if j.closed {

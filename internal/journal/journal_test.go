@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -234,6 +235,49 @@ func TestSecondSnapshotSupersedes(t *testing.T) {
 	if snaps != 1 {
 		t.Fatalf("want exactly 1 snapshot file, dir: %v", listDir(t, dir))
 	}
+}
+
+// TestOversizedSnapshotRefused: a snapshot image one byte over the frame
+// bound the reader enforces is refused at enqueue — before the rotation
+// and compaction that used to delete the segments it could not replace —
+// and the journal stays writable. A reopen recovers the earlier snapshot
+// and every record around the refused one. (Oversized and empty appends,
+// which the reader would also reject, are refused the same way.)
+func TestOversizedSnapshotRefused(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openT(t, dir, Options{Fsync: true})
+	appendWait(t, j, "a")
+	if err := j.Snapshot([]byte("image")).Wait(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	appendWait(t, j, "b")
+	before := listDir(t, dir)
+	huge := make([]byte, maxFrameBytes+1)
+	if err := j.Snapshot(huge).Wait(); !errors.Is(err, ErrPayloadSize) {
+		t.Fatalf("oversized Snapshot = %v, want ErrPayloadSize", err)
+	}
+	if err := j.Append(huge).Wait(); !errors.Is(err, ErrPayloadSize) {
+		t.Fatalf("oversized Append = %v, want ErrPayloadSize", err)
+	}
+	if err := j.Append(nil).Wait(); !errors.Is(err, ErrPayloadSize) {
+		t.Fatalf("empty Append = %v, want ErrPayloadSize", err)
+	}
+	if after := listDir(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("refused snapshot touched the directory: %v -> %v", before, after)
+	}
+	appendWait(t, j, "c") // not poisoned
+	if st := j.Stats(); st.Snapshots != 1 {
+		t.Fatalf("stats count %d snapshots, want only the accepted one", st.Snapshots)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	_, rec := openT(t, dir, Options{})
+	if string(rec.Snapshot) != "image" {
+		t.Fatalf("Snapshot = %q, want %q", rec.Snapshot, "image")
+	}
+	wantRecords(t, rec, "b", "c")
 }
 
 func TestTornTailTruncated(t *testing.T) {

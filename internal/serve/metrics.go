@@ -46,7 +46,10 @@ type metrics struct {
 	// batchDeduped counts /v1/batch elements answered by another element's
 	// computation in the same request (in-batch fingerprint dedup).
 	batchDeduped atomic.Uint64
-	drained      atomic.Bool
+	// snapshotsRefused counts periodic journal snapshots refused because
+	// the session image exceeds the journal's frame bound.
+	snapshotsRefused atomic.Uint64
+	drained          atomic.Bool
 	// lastPanicReqID holds the request ID of the most recent panicking
 	// request (string), so a chaos-soak failure is correlatable from the
 	// metrics document alone.
@@ -115,6 +118,11 @@ type MetricsSnapshot struct {
 	BatchDeduped       uint64                      `json:"batch_deduped_total"`
 	LastPanicRequestID string                      `json:"last_panic_request_id,omitempty"`
 	VSafeCache         core.VSafeCacheStats        `json:"vsafe_cache"`
+	// SnapshotsRefused counts periodic journal snapshots refused because
+	// the session image outgrew the 64 MiB frame bound. While it climbs no
+	// snapshot lands, so the journal's segments are not compacted and
+	// grow until the session count falls (DESIGN.md §17).
+	SnapshotsRefused uint64 `json:"snapshots_refused_total,omitempty"`
 	// Sessions is the streaming tier's counter block (live sessions,
 	// evictions, slow-consumer kicks, terminals...).
 	Sessions session.Stats `json:"sessions"`
@@ -137,6 +145,8 @@ func (m *metrics) snapshot(queueDepth, inFlight int64, cache core.VSafeCacheStat
 		Panics:       m.panics.Load(),
 		BatchDeduped: m.batchDeduped.Load(),
 		VSafeCache:   cache,
+
+		SnapshotsRefused: m.snapshotsRefused.Load(),
 	}
 	if id, ok := m.lastPanicReqID.Load().(string); ok {
 		s.LastPanicRequestID = id

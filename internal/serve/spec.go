@@ -158,11 +158,37 @@ func resolvePower(p PowerSpec, catalog *partsdb.Index) (resolved, error) {
 }
 
 // resolvedLoad is a LoadSpec turned into either a Profile (synthetic or
-// peripheral) or a raw Trace (uploaded samples).
+// peripheral) or a raw Trace (uploaded samples), plus its cache key.
 type resolvedLoad struct {
 	profile load.Profile // nil when trace-backed
 	trace   load.Trace
 	isTrace bool
+	// kind ("shape" or "peripheral"), name, i and t describe a profile
+	// load; i and t are zero for a peripheral, which ignores them.
+	kind, name string
+	i, t       float64
+	// key is the load half of the V_safe cache key: core.TraceKey for raw
+	// samples; for a profile, core.DescriptionKey of its name and i/t, so
+	// a cache hit never samples it. Shape and peripheral names are
+	// disjoint, so the name alone tells the two kinds apart.
+	key uint64
+}
+
+func described(p load.Profile, kind, name string, i, t float64) resolvedLoad {
+	return resolvedLoad{profile: p, kind: kind, name: name, i: i, t: t, key: core.DescriptionKey(name, i, t)}
+}
+
+// routeKey is the load half of the route key (see Fingerprints): the fixed
+// core.TraceFingerprint of a raw upload, or the fixed core.Hash of a
+// description. Unlike key it is the same in every process, so a router and
+// its shards agree on it; a client can forge a collision, which only moves
+// its request to another shard.
+func (r resolvedLoad) routeKey() uint64 {
+	if r.isTrace {
+		return core.TraceFingerprint(r.trace)
+	}
+	return core.NewHash("described-load").String(r.kind).String(r.name).
+		Float(r.i).Float(r.t).Float(load.SampleRateDefault).Sum()
 }
 
 func resolveLoad(l LoadSpec) (resolvedLoad, error) {
@@ -181,17 +207,20 @@ func resolveLoad(l LoadSpec) (resolvedLoad, error) {
 	}
 	switch {
 	case l.Peripheral != "":
+		var p load.Profile
 		switch l.Peripheral {
 		case "gesture":
-			return resolvedLoad{profile: load.Gesture()}, nil
+			p = load.Gesture()
 		case "ble":
-			return resolvedLoad{profile: load.BLERadio()}, nil
+			p = load.BLERadio()
 		case "mnist":
-			return resolvedLoad{profile: load.ComputeAccel()}, nil
+			p = load.ComputeAccel()
 		case "lora":
-			return resolvedLoad{profile: load.LoRa()}, nil
+			p = load.LoRa()
+		default:
+			return resolvedLoad{}, specErrorf("load: unknown peripheral %q", l.Peripheral)
 		}
-		return resolvedLoad{}, specErrorf("load: unknown peripheral %q", l.Peripheral)
+		return described(p, "peripheral", l.Peripheral, 0, 0), nil
 	case len(l.Samples) > 0:
 		rate := l.Rate
 		if rate == 0 {
@@ -206,7 +235,7 @@ func resolveLoad(l LoadSpec) (resolvedLoad, error) {
 			}
 		}
 		tr := load.Trace{ID: "uploaded", Rate: rate, Samples: l.Samples}
-		return resolvedLoad{trace: tr, isTrace: true}, nil
+		return resolvedLoad{trace: tr, isTrace: true, key: core.TraceKey(tr)}, nil
 	default:
 		if !isFinite(l.I) || l.I <= 0 || !isFinite(l.T) || l.T <= 0 {
 			return resolvedLoad{}, specErrorf("load: shape needs positive i and t, got i=%g t=%g", l.I, l.T)
@@ -214,14 +243,27 @@ func resolveLoad(l LoadSpec) (resolvedLoad, error) {
 		if l.T > 60 {
 			return resolvedLoad{}, specErrorf("load: duration %g s beyond the 60 s serving cap", l.T)
 		}
+		var p load.Profile
 		switch l.Shape {
 		case "uniform":
-			return resolvedLoad{profile: load.NewUniform(l.I, l.T)}, nil
+			p = load.NewUniform(l.I, l.T)
 		case "pulse":
-			return resolvedLoad{profile: load.NewPulse(l.I, l.T)}, nil
+			p = load.NewPulse(l.I, l.T)
+		default:
+			return resolvedLoad{}, specErrorf("load: unknown shape %q", l.Shape)
 		}
-		return resolvedLoad{}, specErrorf("load: unknown shape %q", l.Shape)
+		return described(p, "shape", l.Shape, l.I, l.T), nil
 	}
+}
+
+// sampled is the trace Algorithm 1 walks for the load: the upload as
+// given, or the profile sampled exactly as profiler.PG samples it. The
+// estimate path calls it only on a cache miss.
+func (r resolvedLoad) sampled() load.Trace {
+	if r.isTrace {
+		return r.trace
+	}
+	return load.Sample(r.profile, load.SampleRateDefault)
 }
 
 // asProfile returns the load as a Profile for simulation (a raw trace is
@@ -246,29 +288,47 @@ func resolveObservation(o ObservationSpec) (core.Observation, error) {
 
 func isFinite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
-// Fingerprints resolves a /v1/vsafe request exactly as the handler would
-// and returns the (power-model fingerprint, trace fingerprint) pair that
-// keys the server's V_safe cache for it. This is the routing contract of
-// internal/shard: a router that hashes on these two values sends every
-// request to the shard whose cache already holds (or will hold) its entry.
-// Profile-backed loads are fingerprinted through the same
-// load.Sample(profile, load.SampleRateDefault) call profiler.PG.Estimate
-// makes, so the route key and the cache key can never drift apart. The
-// error, when non-nil, wraps errSpec — the request would have been a 400
-// on any shard, so callers may route it anywhere.
-func Fingerprints(req VSafeRequest, catalog *partsdb.Index) (model, trace uint64, err error) {
+// resolvedEstimate is a /v1/vsafe request (or batch estimate element)
+// resolved once: the model, the load and the V_safe cache key that batch
+// dedup and the cache reuse.
+type resolvedEstimate struct {
+	model core.PowerModel
+	load  resolvedLoad
+	key   core.VSafeKey
+}
+
+func resolveEstimate(req VSafeRequest, catalog *partsdb.Index) (resolvedEstimate, error) {
 	rp, err := resolvePower(req.Power, catalog)
 	if err != nil {
-		return 0, 0, err
+		return resolvedEstimate{}, err
 	}
 	rl, err := resolveLoad(req.Load)
 	if err != nil {
+		return resolvedEstimate{}, err
+	}
+	return resolvedEstimate{
+		model: rp.model,
+		load:  rl,
+		key:   core.VSafeKey{Model: rp.model.CacheKey(), Load: rl.key},
+	}, nil
+}
+
+// Fingerprints resolves a /v1/vsafe request exactly as the handler would
+// and returns its route key: the power model's Fingerprint and the load's
+// routeKey. This is the routing contract of internal/shard: a router that
+// hashes on these two values sends every request for one (model, load)
+// pair to one shard, whose cache then holds its line. Both halves are
+// fixed functions of the resolution the handler keys its lookup with, so
+// equal cache keys always route alike. They are not the cache key itself:
+// that one is secretly seeded, and differs per process. The
+// error, when non-nil, wraps errSpec — the request would have been a 400
+// on any shard, so callers may route it anywhere.
+func Fingerprints(req VSafeRequest, catalog *partsdb.Index) (model, trace uint64, err error) {
+	re, err := resolveEstimate(req, catalog)
+	if err != nil {
 		return 0, 0, err
 	}
-	if rl.isTrace {
-		return rp.model.Fingerprint(), core.TraceFingerprint(rl.trace), nil
-	}
-	return rp.model.Fingerprint(), core.TraceFingerprint(load.Sample(rl.profile, load.SampleRateDefault)), nil
+	return re.model.Fingerprint(), re.load.routeKey(), nil
 }
 
 // PowerFingerprint resolves just the power half of a spec — the routing
