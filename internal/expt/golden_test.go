@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"flag"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -212,21 +211,4 @@ func TestGoldenWorkerInvariance(t *testing.T) {
 			}
 		})
 	}
-}
-
-// diffHint points at the first differing line so golden failures are
-// readable without an external diff tool.
-func diffHint(want, got []byte) string {
-	wantLines := bytes.Split(want, []byte("\n"))
-	gotLines := bytes.Split(got, []byte("\n"))
-	n := len(wantLines)
-	if len(gotLines) < n {
-		n = len(gotLines)
-	}
-	for i := 0; i < n; i++ {
-		if !bytes.Equal(wantLines[i], gotLines[i]) {
-			return fmt.Sprintf("first difference at line %d:\n-%s\n+%s", i+1, wantLines[i], gotLines[i])
-		}
-	}
-	return fmt.Sprintf("line counts differ: want %d, got %d", len(wantLines), len(gotLines))
 }

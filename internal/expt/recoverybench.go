@@ -73,7 +73,7 @@ func RecoveryBench(ctx context.Context, sessions, obsPerSession int) (*RecoveryR
 		}
 		obs := make([]api.StreamObservation, obsPerSession)
 		for k := range obs {
-			sm := genCrashSample(rng)
+			sm := session.GenSample(rng)
 			obs[k] = api.StreamObservation{Seq: uint64(k + 1), VStart: sm.VStart, VMin: sm.VMin, VFinal: sm.VFinal, Failed: sm.Failed}
 		}
 		if _, err := tbl.Fold(dev, obs, false); err != nil {

@@ -527,11 +527,15 @@ func (j *Journal) process(batch []request) {
 			j.failed = err
 		}
 		j.batches.Add(1)
+		if err == nil {
+			// Count before acking: a caller that reads Stats after its
+			// ack must see its own append.
+			j.appends.Add(uint64(len(pending)))
+		}
 		for _, req := range pending {
 			req.done <- err
 		}
 		if err == nil {
-			j.appends.Add(uint64(len(pending)))
 			j.maybeRotate()
 		}
 		pending, buf = pending[:0], buf[:0]

@@ -250,7 +250,7 @@ func New(cfg Config) *Server {
 	s.mux.Handle("/v1/vsafe-r", s.api("vsafe-r", s.handleVSafeR))
 	s.mux.Handle("/v1/simulate", s.api("simulate", s.handleSimulate))
 	s.mux.Handle("/v1/batch", s.api("batch", s.handleBatch))
-	s.mux.Handle(api.PathStream, s.streaming("stream", s.handleStreamOpen))
+	s.mux.Handle(api.PathStream, s.wrap("stream", true, false, s.handleStreamOpen))
 	s.mux.Handle(api.PathStreamObs, s.api("stream-obs", s.handleStreamObs))
 	s.mux.Handle("/healthz", s.observed("healthz", s.handleHealthz))
 	s.mux.Handle("/metrics", s.observed("metrics", s.handleMetrics))
@@ -495,10 +495,13 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, ErrorResponse{Error: err.Error()})
 }
 
-// observed wraps the cheap GET endpoints with panic isolation and metrics
-// but no admission control: health and metrics must answer while the work
-// endpoints are saturated — that is when they matter most.
-func (s *Server) observed(name string, fn http.HandlerFunc) http.Handler {
+// wrap is the one middleware every endpoint runs behind: status capture,
+// the request-ID echo, panic isolation (recorded, then a 500 if nothing
+// was written yet) and per-endpoint metrics. post endpoints also get the
+// method check and the boot-phase gate; timed endpoints fold their wall
+// time into the latency histogram — the stream downlink is not timed,
+// because a connection lifetime is not a request latency.
+func (s *Server) wrap(name string, post, timed bool, fn http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w}
 		reqID := s.requestID(r)
@@ -511,54 +514,50 @@ func (s *Server) observed(name string, fn http.HandlerFunc) http.Handler {
 					writeError(sw, http.StatusInternalServerError, fmt.Errorf("panic (request %s): %v", reqID, rec))
 				}
 			}
-			s.met.record(name, sw.status, time.Since(start))
+			s.met.record(name, sw.status)
+			if timed {
+				s.met.latency.Observe(time.Since(start))
+			}
 		}()
+		if post {
+			if r.Method != http.MethodPost {
+				sw.Header().Set("Allow", http.MethodPost)
+				writeError(sw, http.StatusMethodNotAllowed, errors.New("POST only"))
+				return
+			}
+			if !s.Ready() {
+				// Boot-time journal replay in progress: the session table is
+				// half-rebuilt and must not be read or written around the replay.
+				sw.Header().Set("Retry-After", "1")
+				writeError(sw, http.StatusServiceUnavailable, fmt.Errorf("server %s", s.phaseString()))
+				return
+			}
+		}
 		fn(sw, r)
 	})
 }
 
-// api wraps a work endpoint with the full middleware stack: method check,
-// panic isolation, admission control with backpressure, the per-request
+// observed wraps the cheap GET endpoints with panic isolation and metrics
+// but no admission control: health and metrics must answer while the work
+// endpoints are saturated — that is when they matter most.
+func (s *Server) observed(name string, fn http.HandlerFunc) http.Handler {
+	return s.wrap(name, false, true, fn)
+}
+
+// api wraps a work endpoint with the full middleware stack: wrap's POST
+// variant, then admission control with backpressure, the per-request
 // deadline, and outcome classification into HTTP statuses.
 func (s *Server) api(name string, fn func(ctx context.Context, r *http.Request) (any, error)) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w}
-		reqID := s.requestID(r)
-		sw.Header().Set(RequestIDHeader, reqID)
-		start := time.Now()
-		defer func() {
-			if rec := recover(); rec != nil {
-				s.met.recordPanic(reqID)
-				if sw.status == 0 {
-					writeError(sw, http.StatusInternalServerError, fmt.Errorf("panic (request %s): %v", reqID, rec))
-				}
-			}
-			s.met.record(name, sw.status, time.Since(start))
-		}()
-
-		if r.Method != http.MethodPost {
-			sw.Header().Set("Allow", http.MethodPost)
-			writeError(sw, http.StatusMethodNotAllowed, errors.New("POST only"))
-			return
-		}
-
-		if !s.Ready() {
-			// Boot-time journal replay in progress: the session table is
-			// half-rebuilt and must not be read or written around the replay.
-			sw.Header().Set("Retry-After", "1")
-			writeError(sw, http.StatusServiceUnavailable, fmt.Errorf("server %s", s.phaseString()))
-			return
-		}
-
+	return s.wrap(name, true, true, func(w http.ResponseWriter, r *http.Request) {
 		switch s.admit(r.Context()) {
 		case admitFull:
-			sw.Header().Set("Retry-After", "1")
-			writeError(sw, http.StatusServiceUnavailable, errors.New("admission queue full"))
+			w.Header().Set("Retry-After", "1")
+			writeError(w, http.StatusServiceUnavailable, errors.New("admission queue full"))
 			return
 		case admitCanceled:
 			// The client gave up (or its deadline fired) while queued; the
 			// response is best-effort.
-			writeError(sw, http.StatusServiceUnavailable, errors.New("canceled while queued"))
+			writeError(w, http.StatusServiceUnavailable, errors.New("canceled while queued"))
 			return
 		}
 		defer s.release()
@@ -572,28 +571,28 @@ func (s *Server) api(name string, fn func(ctx context.Context, r *http.Request) 
 
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 		defer cancel()
-		r.Body = http.MaxBytesReader(sw, r.Body, maxBodyBytes)
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 
 		v, err := fn(ctx, r)
 		switch {
 		case err == nil:
-			writeJSON(sw, http.StatusOK, v)
+			writeJSON(w, http.StatusOK, v)
 		case errors.Is(err, errSpec):
-			writeError(sw, http.StatusBadRequest, err)
+			writeError(w, http.StatusBadRequest, err)
 		case errors.Is(err, session.ErrNoSession):
 			// The device has no session here (evicted, restarted, or a
 			// different backend): the client reconnects with a replay.
-			writeError(sw, http.StatusNotFound, err)
+			writeError(w, http.StatusNotFound, err)
 		case errors.Is(err, session.ErrClosed):
-			writeError(sw, http.StatusConflict, err)
+			writeError(w, http.StatusConflict, err)
 		case errors.Is(err, context.DeadlineExceeded):
 			s.met.timeouts.Add(1)
-			writeError(sw, http.StatusGatewayTimeout, errors.New("deadline exceeded"))
+			writeError(w, http.StatusGatewayTimeout, errors.New("deadline exceeded"))
 		case errors.Is(err, context.Canceled):
 			// Client disconnect: nothing to deliver, but record honestly.
-			writeError(sw, statusClientClosed, err)
+			writeError(w, statusClientClosed, err)
 		default:
-			writeError(sw, http.StatusInternalServerError, err)
+			writeError(w, http.StatusInternalServerError, err)
 		}
 	})
 }

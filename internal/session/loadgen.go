@@ -261,8 +261,9 @@ func (r *loadRun) sweep(ctx context.Context, name string, fn func(ctx context.Co
 
 func deviceName(idx int) string { return fmt.Sprintf("dev-%06d", idx) }
 
-// genSample draws one physically valid observation.
-func genSample(rng *rand.Rand) client.Sample {
+// GenSample draws one physically valid observation from rng: the
+// distribution every soak and recovery benchmark streams.
+func GenSample(rng *rand.Rand) client.Sample {
 	vstart := 2.2 + 0.36*rng.Float64()
 	vfinal := vstart - 0.3*rng.Float64()
 	vmin := vfinal - 0.4*rng.Float64()
@@ -351,7 +352,7 @@ func (r *loadRun) uploadAndVerify(ctx context.Context, idx int, n int) error {
 		}
 		samples := make([]client.Sample, k)
 		for i := range samples {
-			samples[i] = genSample(d.rng)
+			samples[i] = GenSample(d.rng)
 		}
 		if _, err := st.Observe(ctx, samples...); err != nil {
 			return fmt.Errorf("observe: %w", err)
